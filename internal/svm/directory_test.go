@@ -25,7 +25,7 @@ func runCounterWithDir(t *testing.T, dir model.DirectoryMode, kill bool) *Cluste
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.EnableAuditor(1)
+	cl.EnableAuditor()
 	if tracer != nil {
 		tracer.cl = cl
 	}
@@ -89,7 +89,7 @@ func TestDirectoryHashedEveryVictim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cl.EnableAuditor(1)
+			cl.EnableAuditor()
 			tracer.cl = cl
 			if err := cl.Run(); err != nil {
 				t.Fatal(err)
@@ -139,10 +139,12 @@ func TestDirectoryHashedParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestAuditorLazyPrevReq pins the strided auditor's lazy allocation: a
-// stride > 1 never allocates the version-history structure at all (the
-// monotonicity invariant only runs at stride 1), so 512-node strided
-// cells skip the O(N² x pages) setup the eager version paid.
+// TestAuditorLazyPrevReq pins the auditor's lazy version history: no
+// per-page vector exists before the run, and afterwards only pages whose
+// required version left zero on a node have one there. The counter
+// writes only page 0, so no node ever hears a write notice for pages
+// 1-7 — a 512-node cell skips the O(N² x pages) history an eager
+// allocation would cost.
 func TestAuditorLazyPrevReq(t *testing.T) {
 	cfg := model.Default()
 	cfg.Nodes = 4
@@ -151,30 +153,36 @@ func TestAuditorLazyPrevReq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.EnableAuditor(16)
-	if cl.aud.prevReq != nil {
-		t.Fatal("strided auditor allocated prevReq eagerly")
+	cl.EnableAuditor()
+	for _, per := range cl.aud.prevReq {
+		for _, v := range per {
+			if v != nil {
+				t.Fatal("auditor pre-allocated per-page vectors")
+			}
+		}
 	}
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-
-	cl2, err := New(Options{Config: cfg, Mode: ModeFT, Pages: 8, Locks: 1, Body: counterBody(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl2.EnableAuditor(1)
-	if cl2.aud.prevReq == nil {
-		t.Fatal("stride-1 auditor needs the version-history structure")
-	}
-	for _, per := range cl2.aud.prevReq {
-		for _, v := range per {
+	noticed := 0
+	for n, per := range cl.aud.prevReq {
+		for p, v := range per {
+			zero := true
+			for _, e := range cl.nodes[n].pt.pages[p].reqVer {
+				zero = zero && e == 0
+			}
+			if (v != nil) == zero {
+				t.Fatalf("node %d page %d: history allocated=%v, reqVer zero=%v", n, p, v != nil, zero)
+			}
 			if v != nil {
-				t.Fatal("stride-1 auditor pre-allocated per-page vectors")
+				noticed++
+				if p != 0 {
+					t.Fatalf("node %d page %d has a version history; only page 0 is written", n, p)
+				}
 			}
 		}
 	}
-	if err := cl2.Run(); err != nil {
-		t.Fatal(err)
+	if noticed == 0 {
+		t.Fatal("no node recorded a version history for the counter page")
 	}
 }

@@ -59,6 +59,7 @@ func (t *Thread) readFault(pg *page) {
 					t.endWait(CompDataWait, t0)
 				}
 				pg.homeStale = false
+				pg.touch()
 				if pg.twin != nil {
 					pg.state = pWritable
 				} else {
@@ -128,6 +129,7 @@ func (t *Thread) remoteFetch(pg *page, home int) (needRecovery bool) {
 	}
 	// A stale read-only copy may still be installed; the reply replaces it.
 	t.node.putPageBuf(pg.working)
+	pg.touch()
 	pg.working = rep.Data
 	t.node.stats.RemoteFetches++
 	t.finishFetch(pg, rep.Ver)
@@ -146,6 +148,7 @@ func (t *Thread) finishFetch(pg *page, ver proto.VectorTime) {
 		dbuf := mem.GetDiffBuf()
 		localDiff := mem.Diff{Page: pg.id, Runs: mem.ComputeTrackedInto(dbuf, pg.dirtyTwin, pg.dirtyWorking, cfg.WordSize, pg.stashMask)}
 		t.charge(CompDataWait, cfg.DiffNs(cfg.PageSize))
+		pg.touch() // the charge may have yielded
 		// New twin = fetched copy (pre-merge), so the next commit diffs out
 		// exactly the local modifications. Tracked: the dirty set carries
 		// over from the stash, and only those chunks need pre-merge images.
@@ -169,6 +172,7 @@ func (t *Thread) finishFetch(pg *page, ver proto.VectorTime) {
 		t.node.dirty = append(t.node.dirty, pg.id)
 		return
 	}
+	pg.touch()
 	pg.state = pReadOnly
 }
 
@@ -192,6 +196,7 @@ func (t *Thread) writeFault(pg *page) {
 	// Check, clone, and transition without an intervening yield: a sibling
 	// completing the same fault during a yield would have its writes
 	// captured into a re-cloned twin and silently excluded from the diff.
+	pg.touch()
 	if t.cl.tracked {
 		// Lazy partial twin: no copy here — each chunk is snapshotted at
 		// its first write (Thread.track). The buffer holds garbage outside
@@ -225,10 +230,8 @@ func (t *Thread) invalidate(pid int, src int, itv int32) {
 	if src == n.id {
 		return
 	}
-	pg := n.pt.pages[pid]
-	if pg.reqVer[src] < itv {
-		pg.reqVer[src] = itv
-	}
+	pg := n.pt.page(pid)
+	pg.requireVer(src, itv)
 	t.node.stats.Invalidations++
 	t.charge(CompProtocol, t.cl.cfg.ProtoOpNs)
 	if t.cl.opt.Mode == ModeBase && t.cl.pageHomes.Primary(pid) == n.id {
@@ -243,26 +246,13 @@ func (t *Thread) invalidate(pid int, src int, itv int32) {
 		if pg.baseVer == nil || !pg.baseVer.Covers(pg.reqVer) {
 			// A dirty home page keeps its twin: remote diffs patch both
 			// working and twin, so local modifications survive the wait.
+			pg.touch() // the charge above may have yielded
 			pg.homeStale = true
 			pg.state = pInvalid
 		}
 		return
 	}
-	switch pg.state {
-	case pWritable:
-		// False sharing: stash the uncommitted local writes; the next
-		// access fetches the home copy and merges them back.
-		pg.dirtyTwin = pg.twin
-		pg.dirtyWorking = pg.working
-		pg.stashMask = pg.dirtyMask
-		pg.twin = nil
-		pg.working = nil
-		pg.dirtyMask = nil
-		pg.maskFull = false
-		pg.state = pInvalid
-	case pReadOnly:
-		pg.state = pInvalid
-	}
+	pg.dropCopy()
 }
 
 // applyNotices processes a batch of update lists, skipping intervals this

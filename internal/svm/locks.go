@@ -50,6 +50,7 @@ func (t *Thread) Acquire(l int) {
 		vt = t.nicAcquire(l)
 	}
 	ol.busy = false
+	t.cl.touchLock(l)
 	ol.held = true
 	ol.holder = t
 	t.locksHeld++
@@ -86,6 +87,7 @@ func (t *Thread) Release(l int) {
 // (polling lock).
 func (t *Thread) handOver(l int, ol *ownedLock) {
 	n := t.node
+	t.cl.touchLock(l) // ol was looked up before the release's yields
 	ol.holder = nil
 	if t.cl.opt.LockAlgo == LockQueue {
 		ol.releaseVT = n.vt.Clone()
@@ -125,8 +127,11 @@ func (t *Thread) handOver(l int, ol *ownedLock) {
 }
 
 // lockState returns (creating on demand) the node's acquirer-side state
-// for lock l.
+// for lock l, marking the lock for the auditor. A caller that keeps ol
+// across a yield and then changes its ownership marks it again
+// (Cluster.touchLock).
 func (n *node) lockState(l int) *ownedLock {
+	n.cl.touchLock(l)
 	ol := n.owned[l]
 	if ol == nil {
 		ol = &ownedLock{pendingGrant: -1}

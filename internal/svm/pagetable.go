@@ -150,6 +150,15 @@ func newPageTable(n *node, npages, nnodes int) *pageTable {
 	return pt
 }
 
+// page returns page pid for a caller about to write it, marking it for
+// the auditor (see auditor: a caller that yields before writing marks
+// the page again with page.touch).
+func (pt *pageTable) page(pid int) *page {
+	pg := pt.pages[pid]
+	pg.touch()
+	return pg
+}
+
 // --- Page-buffer pool ---
 //
 // Twins, working copies, and fetch-reply payloads are all PageSize bytes
@@ -230,9 +239,41 @@ func (pg *page) fetchNeed(me int) proto.VectorTime {
 // ensureWorking lazily allocates the working copy from the cluster pool.
 func (pg *page) ensureWorking() []byte {
 	if pg.working == nil {
+		pg.touch()
 		pg.working = pg.pt.node.getPageBufZero()
 	}
 	return pg.working
+}
+
+// requireVer raises the version of src's updates this node must observe
+// on its next fetch of pg to interval itv (a write notice).
+func (pg *page) requireVer(src int, itv int32) {
+	if pg.reqVer[src] < itv {
+		pg.touch()
+		pg.reqVer[src] = itv
+	}
+}
+
+// dropCopy invalidates the node's copy of pg after a write notice. A
+// dirty page keeps its uncommitted local writes (false sharing): the
+// twin, working copy and mask move to the stash, and the next access
+// fetches the home copy and merges them back.
+func (pg *page) dropCopy() {
+	switch pg.state {
+	case pWritable:
+		pg.touch()
+		pg.dirtyTwin = pg.twin
+		pg.dirtyWorking = pg.working
+		pg.stashMask = pg.dirtyMask
+		pg.twin = nil
+		pg.working = nil
+		pg.dirtyMask = nil
+		pg.maskFull = false
+		pg.state = pInvalid
+	case pReadOnly:
+		pg.touch()
+		pg.state = pInvalid
+	}
 }
 
 // initHome sets up home-side storage for this node's home pages.

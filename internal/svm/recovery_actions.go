@@ -376,6 +376,7 @@ func (t *Thread) globalSync(dead int, saved *savedState) {
 		// Clamp requirements on the dead node's cancelled intervals.
 		for _, pg := range n.pt.pages {
 			if pg.reqVer[dead] > saved.ts[dead] {
+				pg.touch()
 				pg.reqVer[dead] = saved.ts[dead]
 			}
 		}
@@ -390,23 +391,9 @@ func (n *node) invalidateRaw(pid, src int, itv int32) {
 	if src == n.id {
 		return
 	}
-	pg := n.pt.pages[pid]
-	if pg.reqVer[src] < itv {
-		pg.reqVer[src] = itv
-	}
-	switch pg.state {
-	case pWritable:
-		pg.dirtyTwin = pg.twin
-		pg.dirtyWorking = pg.working
-		pg.stashMask = pg.dirtyMask
-		pg.twin = nil
-		pg.working = nil
-		pg.dirtyMask = nil
-		pg.maskFull = false
-		pg.state = pInvalid
-	case pReadOnly:
-		pg.state = pInvalid
-	}
+	pg := n.pt.page(pid)
+	pg.requireVer(src, itv)
+	pg.dropCopy()
 }
 
 // migrateThreads resumes the dead node's threads on the backup node from

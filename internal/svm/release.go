@@ -40,7 +40,7 @@ func (t *Thread) commitInterval() (int32, []capturedDiff) {
 	diffBytes := 0
 	n.commitSeq++
 	for _, pid := range n.dirty {
-		pg := n.pt.pages[pid]
+		pg := n.pt.page(pid)
 		if pg.seenCommit == n.commitSeq {
 			continue // duplicate dirty-list entry (fetch-merge re-listing)
 		}

@@ -189,10 +189,18 @@ type Cluster struct {
 	// replayed sibling never double-applies lock-protected writes.
 	trackWriters bool
 
+	// unrecovered counts the nodes that are dead but not yet excluded
+	// (see UnrecoveredFailures); membership is bumped at every kill and
+	// every exclusion. Both are kept at those two writes so the auditor
+	// reads liveness in O(1) per event.
+	unrecovered int
+	membership  int
+
 	// Observability (internal/obs), all nil/off by default so the
 	// benchmark paths pay nothing: flight is the per-node event
 	// recorder, aud the online invariant auditor, auditErr the first
-	// violation it found (surfaced by Run).
+	// violation it found (surfaced by Run). With aud nil, every audit
+	// mark on the protocol paths is one branch.
 	flight   *obs.Recorder
 	aud      *auditor
 	auditErr error
@@ -430,6 +438,7 @@ func New(opt Options) (*Cluster, error) {
 
 func (n *node) initLockHome(l int) {
 	if n.lockHomesState[l] == nil {
+		n.cl.touchLock(l)
 		n.lockHomesState[l] = &lockHome{
 			vec:  make([]bool, n.cl.cfg.Nodes),
 			vt:   proto.NewVector(n.cl.cfg.Nodes),
@@ -483,6 +492,9 @@ func (cl *Cluster) Run() error {
 		cl.spawnThread(t)
 	}
 	err := cl.eng.Run()
+	if cl.aud != nil {
+		cl.aud.finish()
+	}
 	if cl.auditErr != nil {
 		// The auditor stopped the engine at the faulting event; its
 		// violation is the root cause, not the truncated-run fallout.
@@ -621,15 +633,7 @@ func (cl *Cluster) LiveNodes() int {
 // episode has not yet completed (dead but not excluded). The protocol
 // tolerates up to Degree()-1 of these overlapping; the k-th overlapping
 // failure is the one the explorer's refusal rule rejects.
-func (cl *Cluster) UnrecoveredFailures() int {
-	c := 0
-	for _, n := range cl.nodes {
-		if n.dead && !n.excluded {
-			c++
-		}
-	}
-	return c
-}
+func (cl *Cluster) UnrecoveredFailures() int { return cl.unrecovered }
 
 // Nodes returns the cluster size (including failed nodes).
 func (cl *Cluster) Nodes() int { return cl.cfg.Nodes }
